@@ -16,7 +16,6 @@
 
 #include "arch/adder_tree.hh"
 #include "arch/packer.hh"
-#include "arch/pattern_matcher.hh"
 #include "bench/bench_util.hh"
 #include "common/rng.hh"
 #include "core/calibration.hh"
@@ -93,10 +92,11 @@ BM_PatternMatch(benchmark::State& state)
     std::vector<uint64_t> pats;
     for (int i = 0; i < 128; ++i)
         pats.push_back((rng.next() & 0xffff) | 0b11);
-    PatternMatcher matcher(PatternSet(16, pats));
+    const PatternSet ps(16, pats);
+    const PatternAssigner assigner(ps);
     uint64_t row = 0xBEEF;
     for (auto _ : state) {
-        RowAssignment a = matcher.match(row);
+        RowAssignment a = assigner.assign(row);
         benchmark::DoNotOptimize(a);
         row = (row * 2862933555777941757ull + 1) & 0xffff;
     }
@@ -111,14 +111,22 @@ BM_PatternMatchAll(benchmark::State& state)
     std::vector<uint64_t> pats;
     for (int i = 0; i < 128; ++i)
         pats.push_back((rng.next() & 0xffff) | 0b11);
-    PatternMatcher matcher(PatternSet(16, pats));
+    const PatternSet ps(16, pats);
+    const PatternAssigner assigner(ps);
     std::vector<uint64_t> rows(16384);
     for (auto& r : rows)
         r = rng.next() & 0xffff;
+    std::vector<RowAssignment> out(rows.size());
     const ExecutionConfig exec = benchExec(state);
     for (auto _ : state) {
-        auto out = matcher.matchAll(rows, exec);
-        benchmark::DoNotOptimize(out);
+        // One assigner shared by every worker: it holds no state.
+        parallelFor(exec, 0, rows.size(), 512,
+                    [&](size_t i0, size_t i1) {
+            for (size_t i = i0; i < i1; ++i)
+                out[i] = assigner.assign(rows[i]);
+        });
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(rows.size()) * 129);
@@ -274,71 +282,42 @@ BM_PhiGemm(benchmark::State& state)
 BENCHMARK(BM_PhiGemm)->ArgsProduct({{256, 1024}, {1, 2, 4, 8}});
 
 /**
- * PWP-layout ablation: the same serving problem through each storage
- * scheme, so a regression report can attribute the end-to-end gain.
- * Counters report the Level 1 bytes each layout streams per output
- * row and the resident PWP bytes.
+ * PWP-layout ablation: the same serving problem at each arena tier, so
+ * a regression report can attribute the end-to-end gain. Counters
+ * report the Level 1 bytes each tier streams per output row and the
+ * resident PWP bytes.
  *
- *   legacy   — per-partition Matrix scatter, column-block kernel
- *   arena32  — contiguous int32 arena, permuted visit, gather kernel
- *   natural  — arena32 without the pattern-locality permutation
+ *   arena32  — contiguous int32 arena, gather kernel
  *   arena16  — quantized int16 arena (lossless for these weights)
  */
 void
-serveAblation(benchmark::State& state, int mode)
+serveAblation(benchmark::State& state, PwpTier quant)
 {
     ServeFixture fx(1024, 64, 8);
-    LayerDecomposition natural;
-    const LayerDecomposition* dec = &fx.dec;
-    if (mode == 2) {
-        natural = fx.dec;
-        natural.serveOrder.clear();
-        dec = &natural;
-    }
-    const PwpTier quant =
-        mode == 3 ? PwpTier::Int16 : PwpTier::Int32;
     PwpArena arena(fx.pwps, fx.w.cols(), quant);
     Matrix<int32_t> out(fx.dec.m, fx.w.cols());
     const ExecutionConfig exec = benchExec(state);
     for (auto _ : state) {
-        if (mode == 0)
-            phiGemmWithPwpsInto(out, fx.dec, fx.pwps, fx.w, exec);
-        else
-            phiGemmWithArenaInto(out, *dec, arena, fx.w, exec);
+        phiGemmWithArenaInto(out, fx.dec, arena, fx.w, exec);
         benchmark::DoNotOptimize(out.data());
     }
-    const size_t elemBytes =
-        mode == 0 ? 4 : pwpTierBytes(arena.tier());
-    state.counters["l1_bytes_per_row"] =
-        benchmark::Counter(fx.l1BytesPerRow(elemBytes));
-    state.counters["pwp_resident_bytes"] = benchmark::Counter(
-        static_cast<double>(mode == 0 ? pwpBytes(fx.table, fx.w.cols(), 4)
-                                      : arena.bytes()));
+    state.counters["l1_bytes_per_row"] = benchmark::Counter(
+        fx.l1BytesPerRow(pwpTierBytes(arena.tier())));
+    state.counters["pwp_resident_bytes"] =
+        benchmark::Counter(static_cast<double>(arena.bytes()));
 }
 
 void
-BM_PwpServeLegacy(benchmark::State& state)
-{
-    serveAblation(state, 0);
-}
-void
 BM_PwpServeArena(benchmark::State& state)
 {
-    serveAblation(state, 1);
-}
-void
-BM_PwpServeArenaNatural(benchmark::State& state)
-{
-    serveAblation(state, 2);
+    serveAblation(state, PwpTier::Int32);
 }
 void
 BM_PwpServeQuant16(benchmark::State& state)
 {
-    serveAblation(state, 3);
+    serveAblation(state, PwpTier::Int16);
 }
-BENCHMARK(BM_PwpServeLegacy)->ArgsProduct({{1024}, {1}});
 BENCHMARK(BM_PwpServeArena)->ArgsProduct({{1024}, {1}});
-BENCHMARK(BM_PwpServeArenaNatural)->ArgsProduct({{1024}, {1}});
 BENCHMARK(BM_PwpServeQuant16)->ArgsProduct({{1024}, {1}});
 
 void

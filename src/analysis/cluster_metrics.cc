@@ -25,7 +25,7 @@ computeClusterMetrics(const BinaryMatrix& acts, size_t partition,
 
     for (size_t r = 0; r < acts.rows(); ++r) {
         const uint64_t row = acts.extract(r, start, ps.k());
-        const RowAssignment& a = assigner.assign(row);
+        const RowAssignment a = assigner.assign(row);
         usage[a.patternId] += 1.0;
         if (a.patternId == 0)
             continue;

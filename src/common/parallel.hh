@@ -56,17 +56,6 @@ struct ExecutionConfig
      */
     SimdIsa isa = SimdIsa::Auto;
 
-    /**
-     * Software-prefetch the next visit's Level 1 arena rows in the
-     * phiGemm serving loop. Off by default: on hosts measured so far
-     * the hardware prefetcher already tracks the arena's sequential
-     * row streams, and the extra prefetch instructions slow the hot
-     * loop by up to 30% on wide layers. Opt-in hook for
-     * bandwidth-starved parts whose PWP arena far exceeds the
-     * last-level cache. Never changes results — only speed.
-     */
-    bool prefetchPwp = false;
-
     /** Effective thread count: resolves 0 against the machine. */
     int resolvedThreads() const;
 

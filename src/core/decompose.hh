@@ -14,7 +14,6 @@
 #define PHI_CORE_DECOMPOSE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -23,6 +22,11 @@
 
 namespace phi
 {
+
+namespace simd
+{
+struct Kernels;
+}
 
 /** One Level 2 correction element within a partition (col in [0, k)). */
 struct L2Entry
@@ -44,35 +48,29 @@ struct RowAssignment
 };
 
 /**
- * Assigns row-tiles to patterns with memoisation.
- *
- * SNN activations are heavily clustered, so distinct k-bit values repeat
- * massively; a per-value cache turns the O(q) scan into a hash lookup
- * for all repeats.
+ * The best-pattern scan — the software form of the Preprocessor's
+ * pattern matcher (Fig. 4a): XOR the row against every pattern,
+ * popcount the differences and keep the first minimum. Patterns are
+ * scanned word-parallel by the SIMD kernel layer in fixed blocks into
+ * a stack buffer, so the scan allocates nothing. The assigner borrows
+ * its PatternSet (which must outlive it) and holds no other state, so
+ * one assigner may be shared across threads.
  */
 class PatternAssigner
 {
   public:
-    explicit PatternAssigner(const PatternSet& ps);
+    explicit PatternAssigner(const PatternSet& ps,
+                             SimdIsa isa = SimdIsa::Auto);
+    PatternAssigner(PatternSet&&, SimdIsa = SimdIsa::Auto) = delete;
 
-    /** Best assignment for a k-bit row value (memoised). */
-    const RowAssignment& assign(uint64_t row) const;
-
-    /**
-     * As assign(), but bypassing the shared memo cache. The parallel
-     * decomposition sweep uses this with one cache per work chunk —
-     * the shared map is not thread-safe, and per-chunk memoisation
-     * still captures the massive value repetition of SNN activations.
-     */
-    RowAssignment assignUncached(uint64_t row) const { return compute(row); }
+    /** Best assignment for a k-bit row value. */
+    RowAssignment assign(uint64_t row) const;
 
     const PatternSet& patternSet() const { return set; }
 
   private:
-    RowAssignment compute(uint64_t row) const;
-
-    PatternSet set;
-    mutable std::unordered_map<uint64_t, RowAssignment> cache;
+    const PatternSet& set;
+    const simd::Kernels& kernels;
 };
 
 /** Decomposition of one (M x k) activation partition. */
@@ -135,21 +133,6 @@ struct LayerDecomposition
     std::vector<uint16_t> tileMaxPatternId;
     std::vector<uint16_t> tileMaxL2Col;
 
-    /**
-     * Pattern-locality serving permutation, derived by
-     * buildServeOrder(): serveOrder[i] is the original index of the
-     * i-th row to visit. Rows are stable-sorted by their L1 pattern-id
-     * signature across tiles, so consecutive visits reuse the same PWP
-     * rows while they are still cache-resident; identical rows stay in
-     * original relative order, keeping the order deterministic. The
-     * serving loop writes each result through the permutation to the
-     * row's original output slot, so callers never observe the
-     * reordering. Empty (natural order) for hand-assembled
-     * decompositions that never called buildServeOrder(). Not
-     * serialized: loaders and decomposeLayer rebuild it.
-     */
-    std::vector<uint32_t> serveOrder;
-
     size_t numPartitions() const { return tiles.size(); }
 
     /** True when the row-major index matches the tile data shape. */
@@ -172,15 +155,6 @@ struct LayerDecomposition
 
     /** (Re)build the row-major serving index from the tiles. */
     void buildRowIndex();
-
-    /** True when serveOrder is populated for every row. */
-    bool hasServeOrder() const { return serveOrder.size() == m; }
-
-    /**
-     * (Re)build the pattern-locality serving permutation from the
-     * row-major index (requires hasRowIndex()).
-     */
-    void buildServeOrder();
 
     /** Total Level 2 nonzeros across partitions. */
     size_t totalL2Nnz() const;

@@ -24,7 +24,7 @@ applyPaft(BinaryMatrix& acts, const PatternTable& table,
         const size_t start = p * static_cast<size_t>(k);
         for (size_t r = 0; r < acts.rows(); ++r) {
             uint64_t row = acts.extract(r, start, k);
-            const RowAssignment& a = assigner.assign(row);
+            const RowAssignment a = assigner.assign(row);
             if (a.patternId == 0)
                 continue;
             uint64_t mismatch = a.posMask | a.negMask;

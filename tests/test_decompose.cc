@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hh"
 #include "core/calibration.hh"
 #include "core/decompose.hh"
@@ -88,15 +90,6 @@ TEST(PatternAssigner, PicksMinimumHammingPattern)
     EXPECT_EQ(r.nnz(), 1);
 }
 
-TEST(PatternAssigner, MemoisationReturnsSameResult)
-{
-    PatternSet ps(16, {0xF0F0, 0x0F0F});
-    PatternAssigner a(ps);
-    const RowAssignment& first = a.assign(0xF0F1);
-    const RowAssignment& second = a.assign(0xF0F1);
-    EXPECT_EQ(&first, &second) << "expected cached object reuse";
-}
-
 TEST(Decompose, TileCsrLayoutIsConsistent)
 {
     Rng rng(3);
@@ -120,6 +113,27 @@ TEST(Decompose, TileCsrLayoutIsConsistent)
                     << "entries must be column-sorted";
             }
         }
+    }
+}
+
+TEST(Decompose, CachedTileMaximaMatchTheTiles)
+{
+    Rng rng(31);
+    BinaryMatrix acts = BinaryMatrix::random(60, 33, 0.25, rng);
+    CalibrationConfig cfg;
+    cfg.k = 16;
+    cfg.q = 8;
+    PatternTable table = calibrateLayer(acts, cfg);
+    LayerDecomposition dec = decomposeLayer(acts, table);
+    ASSERT_TRUE(dec.hasTileMaxima());
+    for (size_t t = 0; t < dec.tiles.size(); ++t) {
+        uint16_t maxId = 0, maxCol = 0;
+        for (uint16_t id : dec.tiles[t].patternIds)
+            maxId = std::max(maxId, id);
+        for (const L2Entry& e : dec.tiles[t].l2Entries)
+            maxCol = std::max(maxCol, e.col);
+        EXPECT_EQ(dec.tileMaxPatternId[t], maxId) << "tile " << t;
+        EXPECT_EQ(dec.tileMaxL2Col[t], maxCol) << "tile " << t;
     }
 }
 

@@ -17,7 +17,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "arch/pattern_matcher.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/calibration.hh"
@@ -393,30 +392,6 @@ TEST(ParallelKernels, KMeansFitInvariantAcrossThreads)
         cfg.exec = withThreads(threads);
         EXPECT_EQ(BinaryKMeans(cfg).fit(hist, 16).patterns(),
                   ref.patterns());
-    }
-}
-
-TEST(ParallelKernels, MatchAllEqualsPerRowMatch)
-{
-    Rng rng(51);
-    std::vector<uint64_t> pats;
-    for (int i = 0; i < 100; ++i)
-        pats.push_back(rng.next() & 0xffff);
-    PatternMatcher matcher(PatternSet(16, pats));
-
-    std::vector<uint64_t> rows;
-    for (int i = 0; i < 3000; ++i)
-        rows.push_back(rng.next() & 0xffff);
-
-    for (int threads : {1, 2, 8}) {
-        auto batch = matcher.matchAll(rows, withThreads(threads));
-        ASSERT_EQ(batch.size(), rows.size());
-        for (size_t i = 0; i < rows.size(); ++i) {
-            RowAssignment one = matcher.match(rows[i]);
-            EXPECT_EQ(batch[i].patternId, one.patternId);
-            EXPECT_EQ(batch[i].posMask, one.posMask);
-            EXPECT_EQ(batch[i].negMask, one.negMask);
-        }
     }
 }
 
